@@ -26,7 +26,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.mapreduce.columnar import ColumnBatch, emit_first_values
+from repro.mapreduce.columnar import (
+    ColumnBatch,
+    StringColumn,
+    TupleColumn,
+    emit_first_values,
+    float_column,
+    int_column,
+)
 from repro.mapreduce.costs import CostHints
 from repro.mapreduce.job import TaskContext
 from repro.pic.api import PICProgram
@@ -143,14 +150,22 @@ class PageRankProgram(PICProgram):
         model = ctx.model
         if isinstance(records, ColumnBatch):
             # The emission loop stays scalar (it walks ragged adjacency
-            # lists through a dict), but typed int/float columns let the
-            # shuffle hash, group, and size the output vectorized.
-            rows: list[tuple[Any, Any]] = []
+            # lists through a dict), but it gathers straight into typed
+            # int/float columns so the shuffle hashes, groups and sizes
+            # the output vectorized without a row-to-column pass.
+            keys: list[int] = []
+            vals: list[float] = []
             for v, outs in records:
-                rows.append((v, 0.0))  # keep sink-only vertices alive
-                for t in outs:
-                    rows.append((t, model[(EDGE, v, t)]))
-            ctx.emit_batch(ColumnBatch.from_rows(rows))
+                keys.append(v)
+                vals.append(0.0)  # keep sink-only vertices alive
+                keys.extend(outs)
+                vals.extend([model[(EDGE, v, t)] for t in outs])
+            if not keys:
+                ctx.emit_batch(ColumnBatch.from_rows([]))
+                return
+            ctx.emit_batch(
+                ColumnBatch(int_column(np.array(keys)), float_column(np.array(vals)))
+            )
             return
         emit = ctx.emit
         for v, outs in records:
@@ -170,14 +185,32 @@ class PageRankProgram(PICProgram):
     ) -> None:
         model = ctx.model
         if isinstance(records, ColumnBatch):
-            rows: list[tuple[Any, Any]] = []
+            # Keys ("e", j, i) go out as one string and two int slots,
+            # the columns ColumnBatch.from_rows would build from them.
+            srcs: list[int] = []
+            dsts: list[int] = []
+            scores: list[float] = []
             for v, outs in records:
                 if not outs:
                     continue
-                score = model[(PR, v)] / len(outs)
-                for t in outs:
-                    rows.append(((EDGE, v, t), score))
-            ctx.emit_batch(ColumnBatch.from_rows(rows))
+                deg = len(outs)
+                score = model[(PR, v)] / deg
+                srcs.extend([v] * deg)
+                dsts.extend(outs)
+                scores.extend([score] * deg)
+            if not dsts:
+                ctx.emit_batch(ColumnBatch.from_rows([]))
+                return
+            n = len(dsts)
+            edge_keys = TupleColumn(
+                (
+                    StringColumn(np.full(n, EDGE)),
+                    int_column(np.array(srcs)),
+                    int_column(np.array(dsts)),
+                ),
+                n,
+            )
+            ctx.emit_batch(ColumnBatch(edge_keys, float_column(np.array(scores))))
             return
         emit = ctx.emit
         for v, outs in records:

@@ -16,6 +16,13 @@ Sizing rules (close to Hadoop's wire formats):
 * ``numpy.ndarray`` → ``nbytes`` + a small shape header
 * tuples/lists → sum of elements + 4-byte count
 * dicts → sum of key+value sizes + 4-byte count
+
+``sizeof_records`` sizes large homogeneous record lists in one pass
+instead of recursing per element: int/str keys with scalar, string or
+ndarray values, and tuple keys of int, float or ASCII-string elements
+(PageRank's ``("pr", v)`` and ``("e", j, i)`` model keys) with int or
+float values.  Any record outside those shapes falls back to the
+per-record sum, so the two paths always agree.
 """
 
 from __future__ import annotations
@@ -30,11 +37,6 @@ ARRAY_HEADER = 8
 SEQ_HEADER = 4
 STR_HEADER = 2
 
-# Backwards-compatible aliases (older call sites use the underscored names).
-_ARRAY_HEADER = ARRAY_HEADER
-_SEQ_HEADER = SEQ_HEADER
-_STR_HEADER = STR_HEADER
-
 
 def sizeof_value(value: Any) -> int:
     """Return the estimated serialized size of one key or value, in bytes."""
@@ -45,15 +47,15 @@ def sizeof_value(value: Any) -> int:
     if isinstance(value, np.generic):
         return int(value.dtype.itemsize)
     if isinstance(value, np.ndarray):
-        return int(value.nbytes) + _ARRAY_HEADER
+        return int(value.nbytes) + ARRAY_HEADER
     if isinstance(value, bytes):
-        return len(value) + _STR_HEADER
+        return len(value) + STR_HEADER
     if isinstance(value, str):
-        return len(value.encode("utf-8")) + _STR_HEADER
+        return len(value.encode("utf-8")) + STR_HEADER
     if isinstance(value, (tuple, list, set, frozenset)):
-        return _SEQ_HEADER + sum(sizeof_value(v) for v in value)
+        return SEQ_HEADER + sum(sizeof_value(v) for v in value)
     if isinstance(value, dict):
-        return _SEQ_HEADER + sum(
+        return SEQ_HEADER + sum(
             sizeof_value(k) + sizeof_value(v) for k, v in value.items()
         )
     raise TypeError(
@@ -81,7 +83,7 @@ def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
     """Batched sizing for homogeneous record lists, or ``None``.
 
     Every app's hot shuffle/partition batches are homogeneous —
-    int/str keys paired with scalar or ndarray values — so one
+    int/str/flat-tuple keys paired with scalar or ndarray values — so one
     type-dispatch for the whole batch plus a tight accumulation loop
     replaces a recursive ``sizeof_value`` call per element.  Any record
     deviating from the probe types bails out to the reference path;
@@ -103,14 +105,14 @@ def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += v.nbytes
-            return int(total) + (8 + _ARRAY_HEADER) * n
+            return int(total) + (8 + ARRAY_HEADER) * n
         if vt is str:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(v.encode("utf-8"))
-            return total + (8 + _STR_HEADER) * n
+            return total + (8 + STR_HEADER) * n
         return None
 
     if kt is str:
@@ -120,15 +122,33 @@ def _sizeof_records_fast(records: list[tuple[Any, Any]]) -> int | None:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(k.encode("utf-8"))
-            return total + (_STR_HEADER + 8) * n
+            return total + (STR_HEADER + 8) * n
         if vt is np.ndarray:
             total = 0
             for k, v in records:
                 if type(k) is not kt or type(v) is not vt:
                     return None
                 total += len(k.encode("utf-8")) + v.nbytes
-            return int(total) + (_STR_HEADER + _ARRAY_HEADER) * n
+            return int(total) + (STR_HEADER + ARRAY_HEADER) * n
         return None
+
+    if kt is tuple and vt in _FIXED_SCALAR_TYPES:
+        total = 0
+        for k, v in records:
+            if type(k) is not tuple or type(v) not in _FIXED_SCALAR_TYPES:
+                return None
+            for e in k:
+                te = type(e)
+                if te is str:
+                    # ASCII only: its character count is its UTF-8 length.
+                    if not e.isascii():
+                        return None
+                    total += len(e) + STR_HEADER
+                elif te is int or te is float:
+                    total += 8
+                else:
+                    return None
+        return total + (SEQ_HEADER + 8) * n
 
     return None
 
@@ -137,9 +157,9 @@ def sizeof_records(records: Iterable[tuple[Any, Any]]) -> int:
     """Total serialized size of an iterable of ``(key, value)`` records.
 
     Large homogeneous batches (int/str keys with scalar, string, or
-    ndarray values — the dominant shape in all five applications) take
-    a batched fast path that is equal, byte for byte, to the per-record
-    reference sum.
+    ndarray values, and flat tuple keys with scalar values — the
+    dominant shapes in all five applications) take a batched fast path
+    that is equal, byte for byte, to the per-record reference sum.
     """
     # Columnar batches size themselves per column (duck-typed rather
     # than isinstance to keep this leaf module import-cycle free).

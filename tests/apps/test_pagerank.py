@@ -6,6 +6,7 @@ import pytest
 from repro.apps.pagerank import PageRankProgram, local_web_graph, nutch_pagerank
 from repro.apps.pagerank.datagen import cross_edge_fraction
 from repro.apps.pagerank.program import EDGE, PR
+from repro.mapreduce.columnar import ColumnBatch, ObjectColumn, ScalarColumn, TupleColumn
 from repro.mapreduce.job import TaskContext
 
 
@@ -206,3 +207,75 @@ class TestProgramPIC:
         model = {(PR, 0): 1.5, (PR, 2): 0.5, (EDGE, 0, 2): 0.1}
         vec = prog.rank_vector(model, 3)
         assert np.allclose(vec, [1.5, 0.0, 0.5])
+
+
+def _column_shape(col):
+    """Class and dtype of a column, recursing into tuple slots."""
+    if isinstance(col, TupleColumn):
+        return ("tuple", tuple(_column_shape(s) for s in col.slots))
+    values = getattr(col, "values", None)
+    return (type(col).__name__, getattr(values, "dtype", None))
+
+
+class TestDirectColumns:
+    """The columnar mappers build the batch ``ColumnBatch.from_rows`` would."""
+
+    @staticmethod
+    def _phase_outputs(mapper_name, records, model):
+        prog = PageRankProgram()
+        row_ctx = TaskContext(model=model)
+        getattr(prog, mapper_name)(row_ctx, records)
+        col_ctx = TaskContext(model=model)
+        getattr(prog, mapper_name)(col_ctx, ColumnBatch.from_rows(records))
+        direct = col_ctx.collect()
+        assert isinstance(direct, ColumnBatch)
+        return direct, ColumnBatch.from_rows(row_ctx.output)
+
+    @staticmethod
+    def _assert_same_batch(direct, expected):
+        assert _column_shape(direct.keys) == _column_shape(expected.keys)
+        assert _column_shape(direct.values) == _column_shape(expected.values)
+        assert direct.to_rows() == expected.to_rows()
+        assert direct.nbytes_wire() == expected.nbytes_wire()
+        assert np.array_equal(
+            direct.keys.stable_hashes(), expected.keys.stable_hashes()
+        )
+        assert np.array_equal(direct.partition_ids(8), expected.partition_ids(8))
+
+    @staticmethod
+    def _graph_and_model():
+        records = local_web_graph(300, seed=7)
+        prog = PageRankProgram()
+        model = prog.initial_model(records)
+        # Perturb the ranks so edge scores differ from the unit start.
+        for v, _outs in records:
+            model[(PR, v)] = 1.0 + v / 1000.0
+        return records, model
+
+    @pytest.mark.parametrize("mapper", ["_map_aggregate", "_map_propagate"])
+    def test_whole_graph(self, mapper):
+        records, model = self._graph_and_model()
+        direct, expected = self._phase_outputs(mapper, records, model)
+        assert len(expected) > len(records)
+        assert isinstance(direct.keys, (ScalarColumn, TupleColumn))
+        self._assert_same_batch(direct, expected)
+
+    @pytest.mark.parametrize("mapper", ["_map_aggregate", "_map_propagate"])
+    def test_subgraph_without_internal_edges(self, mapper):
+        records, model = self._graph_and_model()
+        prog = PageRankProgram(partition_mode="random")
+        parts = prog.partition(records, model, num_partitions=100)
+        sub_records, sub_model = next(
+            (recs, m)
+            for recs, m in parts
+            if len(recs) >= 2 and not any(outs for _v, outs in recs)
+        )
+        direct, expected = self._phase_outputs(mapper, sub_records, sub_model)
+        self._assert_same_batch(direct, expected)
+
+    @pytest.mark.parametrize("mapper", ["_map_aggregate", "_map_propagate"])
+    def test_empty_split(self, mapper):
+        direct, expected = self._phase_outputs(mapper, [], {})
+        assert len(direct) == 0
+        assert isinstance(direct.keys, ObjectColumn)
+        self._assert_same_batch(direct, expected)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.pic.model import model_nbytes, model_to_records
 from repro.util.sizing import sizeof_record, sizeof_records, sizeof_value
 
 
@@ -158,3 +159,98 @@ class TestFastPath:
     def test_numpy_scalar_tail_bails_to_generic(self):
         records = [(i, float(i)) for i in range(40)] + [(np.int64(1), 2.0)]
         assert sizeof_records(records) == _reference_size(records)
+
+
+# Tuple keys as the apps emit them: flat tuples of ints, floats and
+# ASCII strings, with exact int/float values.
+_flat_elements = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=6),
+)
+_flat_tuple_records = st.tuples(
+    st.lists(_flat_elements, max_size=4).map(tuple),
+    st.one_of(st.integers(), st.floats(allow_nan=False)),
+)
+_int64s = st.integers(-(2**63), 2**63 - 1)
+_non_ascii = st.characters(min_codepoint=128, blacklist_categories=("Cs",))
+# Records each fast-path check must reject, so sizing falls back to the
+# per-record reference sum.
+_bail_tuple_records = st.one_of(
+    st.tuples(st.tuples(st.just("e"), st.booleans()), st.floats(allow_nan=False)),
+    st.tuples(st.tuples(st.just("e"), st.integers()), st.booleans()),
+    st.tuples(st.tuples(st.just("pr"), _int64s.map(np.int64)), st.just(1.0)),
+    st.tuples(st.tuples(st.just("pr"), st.floats().map(np.float64)), st.just(1.0)),
+    st.tuples(st.tuples(st.just("pr"), st.just(np.float64(1.0))), st.just(2)),
+    st.tuples(st.tuples(st.text(_non_ascii, min_size=1)), st.just(1.0)),
+    st.tuples(st.tuples(st.just("e"), st.tuples(st.integers(), st.integers())), st.just(1.0)),
+    st.tuples(st.tuples(st.just("e"), st.integers()), st.just(np.zeros(3))),
+    st.tuples(st.tuples(st.just("e"), st.integers()), st.just(np.float64(0.5))),
+    st.tuples(st.tuples(st.just("e"), st.none()), st.just(1.0)),
+)
+
+
+class TestTupleKeyFastPath:
+    """Tuple-keyed record lists (PageRank's model) size in one pass."""
+
+    @given(st.lists(_flat_tuple_records, min_size=16, max_size=64))
+    def test_mixed_arities_match_reference(self, records):
+        assert sizeof_records(records) == _reference_size(records)
+
+    @given(
+        st.lists(_flat_tuple_records, min_size=16, max_size=48),
+        st.lists(_bail_tuple_records, min_size=1, max_size=3),
+    )
+    def test_bail_out_tails_match_reference(self, head, tail):
+        records = head + tail
+        assert sizeof_records(records) == _reference_size(records)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            (("e", True), 1.0),
+            (("e", 1), True),
+            (("pr", np.int64(3)), 1.0),
+            (("pr", np.float64(0.5)), 1.0),
+            (("é", 1), 1.0),
+            (("e", (1, 2)), 1.0),
+            (("e", 1), np.zeros(3)),
+            (("e", 1), np.float64(0.5)),
+        ],
+        ids=["bool-elem", "bool-value", "np-int-elem", "np-float-elem",
+             "non-ascii", "nested", "ndarray-value", "np-float-value"],
+    )
+    def test_each_bail_out_kind(self, tail):
+        records = [(("e", v, v + 1), 0.5) for v in range(20)] + [tail]
+        assert sizeof_records(records) == _reference_size(records)
+
+    def test_pagerank_shaped_model(self):
+        model = {("pr", v): 1.0 for v in range(50)}
+        model.update({("e", v, (v + 1) % 50): 0.5 for v in range(50)})
+        records = list(model.items())
+        # count header + "pr"/"e" text + int slots + float value
+        expected = 50 * (4 + (2 + 2) + 8 + 8) + 50 * (4 + (1 + 2) + 8 + 8 + 8)
+        assert sizeof_records(records) == expected == _reference_size(records)
+
+
+class TestModelNbytes:
+    """Sizing the model unsorted equals the old sorted-records sum."""
+
+    @staticmethod
+    def _sorted_sum(model):
+        return sizeof_records(model_to_records(model))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {},
+            {("pr", v): float(v) for v in range(40)},
+            {v: np.arange(v % 4, dtype=np.float64) for v in range(30)},
+            {str(v): v for v in range(20)},
+            # int and str keys together cannot be sorted directly.
+            {**{v: 1.0 for v in range(20)}, **{f"k{v}": 2 for v in range(20)}},
+            {**{("e", v, v + 1): 0.5 for v in range(20)}, True: 1.0, "x": None},
+        ],
+    )
+    def test_matches_sorted_sum(self, model):
+        assert model_nbytes(model) == self._sorted_sum(model)
